@@ -11,6 +11,7 @@
 
 #include "src/common/exec_context.h"
 #include "src/common/rng.h"
+#include "src/nn/activations.h"
 #include "src/nn/attention.h"
 #include "src/nn/bert.h"
 #include "src/nn/embedding.h"
@@ -87,6 +88,55 @@ void BM_LayerNormBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerNormBackward)
     ->ArgsProduct({{512, 2048}, {1, 2, 4}})
+    ->ArgNames({"rows", "threads"});
+
+// GELU at the feed-forward shape (d_ff = 128 columns) and softmax at the
+// attention-score shape (seq = 32 columns): the elementwise layers that run
+// the vectorized exp of src/nn/elementwise.h.
+void BM_GeluForward(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const ExecContext ctx(static_cast<int>(state.range(1)), 1);
+  const std::size_t cols = 128;
+  pf::Rng rng(31);
+  const Matrix x = Matrix::randn(rows, cols, rng, 2.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pf::gelu(x, ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_GeluForward)
+    ->ArgsProduct({{256, 2048}, {1, 2, 4}})
+    ->ArgNames({"rows", "threads"});
+
+void BM_GeluBackward(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const ExecContext ctx(static_cast<int>(state.range(1)), 1);
+  const std::size_t cols = 128;
+  pf::Rng rng(37);
+  const Matrix x = Matrix::randn(rows, cols, rng, 2.0);
+  const Matrix dy = Matrix::randn(rows, cols, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pf::gelu_backward(x, dy, ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_GeluBackward)
+    ->ArgsProduct({{256, 2048}, {1, 2, 4}})
+    ->ArgNames({"rows", "threads"});
+
+void BM_SoftmaxRows(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const ExecContext ctx(static_cast<int>(state.range(1)), 1);
+  const std::size_t cols = 32;
+  pf::Rng rng(41);
+  const Matrix x = Matrix::randn(rows, cols, rng, 3.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pf::softmax_rows(x, ctx));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_SoftmaxRows)
+    ->ArgsProduct({{256, 2048}, {1, 2, 4}})
     ->ArgNames({"rows", "threads"});
 
 void BM_EmbeddingScatter(benchmark::State& state) {

@@ -47,6 +47,7 @@ void ArenaAllocator::release(std::vector<double>&& buf) {
   if (cap == 0) return;  // moved-from / never-allocated: nothing to park
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.released;
+  stats_.released_bytes += cap * sizeof(double);
   stats_.free_bytes += cap * sizeof(double);
   stats_.peak_free_bytes = std::max(stats_.peak_free_bytes, stats_.free_bytes);
   free_.emplace(cap, std::move(buf));

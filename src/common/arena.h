@@ -69,6 +69,7 @@ class ArenaAllocator {
     std::uint64_t recycled = 0;        // acquires served from the free list
     std::uint64_t fresh = 0;           // acquires that had to allocate
     std::uint64_t released = 0;        // buffers returned to the free list
+    std::uint64_t released_bytes = 0;  // their capacity, in bytes
     std::size_t free_bytes = 0;        // bytes parked in the free list now
     std::size_t peak_free_bytes = 0;   // high-water mark of free_bytes
   };

@@ -1,30 +1,21 @@
 #include "src/nn/activations.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
+#include "src/nn/elementwise.h"
 
 namespace pf {
 
-namespace {
-constexpr double kSqrt2OverPi = 0.7978845608028654;
-constexpr double kGeluC = 0.044715;
-
-double gelu_scalar(double v) {
-  const double inner = kSqrt2OverPi * (v + kGeluC * v * v * v);
-  return 0.5 * v * (1.0 + std::tanh(inner));
-}
-}  // namespace
+// Every row loop hands contiguous rows to the vectorized kernels of
+// src/nn/elementwise.h. Those are elementwise with position-independent
+// bits, so chunking rows across threads never changes a value.
 
 Matrix gelu(const Matrix& x, const ExecContext& ctx) {
   Matrix y(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const double* xr = x.row(r);
-      double* yr = y.row(r);
-      for (std::size_t c = 0; c < x.cols(); ++c) yr[c] = gelu_scalar(xr[c]);
-    }
+    vec_gelu(x.row(r0), y.row(r0), (r1 - r0) * x.cols());
   });
   return y;
 }
@@ -34,37 +25,32 @@ Matrix gelu_backward(const Matrix& x, const Matrix& dy,
   PF_CHECK(x.same_shape(dy));
   Matrix dx(x.rows(), x.cols());
   ctx.parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t c = 0; c < x.cols(); ++c) {
-        const double v = x(r, c);
-        const double inner = kSqrt2OverPi * (v + kGeluC * v * v * v);
-        const double t = std::tanh(inner);
-        const double dinner = kSqrt2OverPi * (1.0 + 3.0 * kGeluC * v * v);
-        const double grad =
-            0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner;
-        dx(r, c) = grad * dy(r, c);
-      }
-    }
+    vec_gelu_backward(x.row(r0), dy.row(r0), dx.row(r0),
+                      (r1 - r0) * x.cols());
   });
   return dx;
 }
 
 Matrix softmax_rows(const Matrix& logits, const ExecContext& ctx) {
-  Matrix p(logits.rows(), logits.cols());
+  const std::size_t n = logits.cols();
+  Matrix p(logits.rows(), n);
   ctx.parallel_for(logits.rows(), [&](std::size_t r0, std::size_t r1) {
+    // Shift every row by its max, exponentiate the whole chunk in one
+    // kernel call, then normalize row by row.
     for (std::size_t r = r0; r < r1; ++r) {
       const double* row = logits.row(r);
+      double* pr = p.row(r);
       double mx = row[0];
-      for (std::size_t c = 1; c < logits.cols(); ++c)
-        mx = std::max(mx, row[c]);
+      for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+      for (std::size_t c = 0; c < n; ++c) pr[c] = row[c] - mx;
+    }
+    vec_exp(p.row(r0), p.row(r0), (r1 - r0) * n);
+    for (std::size_t r = r0; r < r1; ++r) {
+      double* pr = p.row(r);
       double sum = 0.0;
-      for (std::size_t c = 0; c < logits.cols(); ++c) {
-        const double e = std::exp(row[c] - mx);
-        p(r, c) = e;
-        sum += e;
-      }
+      for (std::size_t c = 0; c < n; ++c) sum += pr[c];
       const double inv = 1.0 / sum;
-      for (std::size_t c = 0; c < logits.cols(); ++c) p(r, c) *= inv;
+      for (std::size_t c = 0; c < n; ++c) pr[c] *= inv;
     }
   });
   return p;

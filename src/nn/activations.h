@@ -1,4 +1,6 @@
 // GELU activation (tanh approximation, as in BERT) and row-wise softmax.
+// Both run on the vectorized exp of src/nn/elementwise.h: GELU as the
+// equivalent v·σ(2u) form, softmax exponentiating each shifted row.
 //
 // All four free functions parallelize their row loops over the ExecContext
 // (rows are independent, so every thread count is bitwise identical to the

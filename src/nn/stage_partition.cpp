@@ -86,7 +86,7 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
 
   // Loss gradients live outside the layer caches; in borrow mode they are
   // the only thing left of the stash entry once the layers take their
-  // caches back, and they die (into the arena) at the end of this call.
+  // caches back, and they die at the end of this call.
   Matrix mlm_dlogits, nsp_dlogits;
   if (copy_stashes_) {
     // Legacy path: deep-copy the stash into the layers; the entry keeps
@@ -129,11 +129,6 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
     dh = Matrix();
   }
 
-  if (!copy_stashes_) {
-    arena_release(ctx.arena(), std::move(mlm_dlogits));
-    arena_release(ctx.arena(), std::move(nsp_dlogits));
-  }
-
   if (keep_kfac_stash || defer_dw) {
     // Harvest exactly what the curvature tasks read, in kfac_linears()
     // order. Borrow mode moves each tracked linear's full {a_l, e_l} out
@@ -159,11 +154,18 @@ Matrix BertStage::backward(int micro, const BertBatch& batch, Matrix grad_in,
   } else if (copy_stashes_) {
     // No curvature task will read this micro: release its activations now
     // instead of holding every micro until end of step. (Borrow mode
-    // already erased the entry above; the caches sit in the layers, where
-    // the next forward reuses their storage.)
+    // already erased the entry above.)
     stash_sub(bytes_of(it->second));
     fwd_stash_.erase(it);
   }
+  // Empty the layers, so the next forward acquires every cache buffer from
+  // the arena and each stashed buffer makes exactly one acquire/release
+  // round trip. Borrow mode parks what the backward left behind (the
+  // forward's own arena buffers); copy mode's leftovers are plain copies
+  // of a stash that is itself released at end of step, so they are freed.
+  StageCache leftover = save_caches();
+  if (!copy_stashes_ && ctx.arena() != nullptr)
+    release_to_arena(ctx.arena(), std::move(leftover));
   return dh;
 }
 
@@ -322,30 +324,25 @@ std::size_t BertStage::bytes_of(const std::vector<Linear::Cache>& kcs) {
 }
 
 void BertStage::release_to_arena(ArenaAllocator* arena, StageCache&& c) {
-  // Doubles only: int id/segment vectors cannot feed the double arena and
-  // just free normally.
+  // Only the buffers the layers acquired from the arena go back to it:
+  // Linear x/dy, LayerNorm xhat and the GELU input. Everything else — q/k/v
+  // and probs (fresh GEMM/softmax results), inv_std, the loss gradients and
+  // the int id/segment vectors — frees normally when `c` dies. Parking a
+  // buffer the arena never handed out would grow its free list every step.
   for (TransformerBlock::Cache& bc : c.blocks) {
-    arena->release(std::move(bc.attn.q));
-    arena->release(std::move(bc.attn.k));
-    arena->release(std::move(bc.attn.v));
-    for (Matrix& p : bc.attn.probs) arena->release(std::move(p));
     for (Linear::Cache* lc : {&bc.attn.wq, &bc.attn.wk, &bc.attn.wv,
                               &bc.attn.wo, &bc.w1, &bc.w2}) {
       arena->release(std::move(lc->x));
       arena->release(std::move(lc->dy));
     }
     arena->release(std::move(bc.ln1.xhat));
-    arena->release(std::move(bc.ln1.inv_std));
     arena->release(std::move(bc.ln2.xhat));
-    arena->release(std::move(bc.ln2.inv_std));
     arena->release(std::move(bc.gelu.x));
   }
   for (Linear::Cache* lc : {&c.mlm_head, &c.nsp_head}) {
     arena->release(std::move(lc->x));
     arena->release(std::move(lc->dy));
   }
-  arena->release(std::move(c.mlm_dlogits));
-  arena->release(std::move(c.nsp_dlogits));
 }
 
 void BertStage::stash_add(std::size_t bytes) {

@@ -116,8 +116,8 @@ class BertStage {
   const Matrix& kfac_output_grad(int micro, std::size_t f) const;
 
   // Releases all per-micro stashes (end of step). With an arena, every
-  // stashed buffer is parked there for the next step's forwards to recycle
-  // instead of being freed.
+  // stashed buffer the layers acquired from it is parked there for the
+  // next step's forwards to recycle instead of being freed.
   void clear_stash(ArenaAllocator* arena = nullptr);
 
   // Legacy copy-restore stash semantics (see file comment). Flip only

@@ -383,6 +383,8 @@ BertLossBreakdown PipelineRuntime::step() {
     last_memory_stats_[si].arena_recycled =
         now.recycled - arena_before[si].recycled;
     last_memory_stats_[si].arena_fresh = now.fresh - arena_before[si].fresh;
+    last_memory_stats_[si].arena_released_bytes =
+        now.released_bytes - arena_before[si].released_bytes;
     last_memory_stats_[si].arena_free_bytes = now.free_bytes;
   }
   for (const auto& ch : fwd_ch_)

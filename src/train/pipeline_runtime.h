@@ -189,13 +189,14 @@ class PipelineRuntime {
   // Realized handover order on a boundary (micro ids in send order).
   std::vector<int> forward_send_order(int boundary) const;
   std::vector<int> backward_send_order(int boundary) const;
-  // Per-stage memory telemetry of the last step: stash high-water mark and
-  // the stage arena's recycle/fresh acquisition counts (deltas over the
-  // step) plus the bytes parked in it now.
+  // Per-stage memory telemetry of the last step: stash high-water mark,
+  // the stage arena's recycle/fresh acquisition counts and released bytes
+  // (deltas over the step), plus the bytes parked in it now.
   struct StageMemoryStats {
     std::size_t peak_stash_bytes = 0;
     std::size_t arena_recycled = 0;
     std::size_t arena_fresh = 0;
+    std::size_t arena_released_bytes = 0;
     std::size_t arena_free_bytes = 0;
   };
   const std::vector<StageMemoryStats>& memory_stats() const {

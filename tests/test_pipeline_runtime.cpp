@@ -267,6 +267,47 @@ TEST(PipelineRuntime, ArenaRecyclesStashBuffersAcrossSteps) {
   }
 }
 
+TEST(PipelineRuntime, ArenaFreeListPlateausAfterWarmUp) {
+  // Every buffer a stage parks in its arena must be one the arena handed
+  // out, or the free list grows by the unmatched volume every step. After
+  // warm-up the parked bytes stay put: step 40 may exceed step 10 by less
+  // than one step's release volume.
+  struct Case {
+    const char* schedule;
+    bool kfac;
+    bool copy_stashes;
+  };
+  const auto cfg = small_bert(4);
+  for (const Case& c : {Case{"1f1b", true, false}, Case{"1f1b", false, false},
+                        Case{"zb-h1", true, false},
+                        Case{"gpipe", true, true}}) {
+    Rng rng(7);
+    BertModel model(cfg, rng);
+    Corpus data(cfg);
+    auto pc = runtime_config(c.schedule, 2, 4, 4, 40, c.kfac, 2, 1);
+    pc.copy_stashes = c.copy_stashes;
+    PipelineRuntime rt(model, data.batcher, pc);
+    auto sum_free = [&] {
+      std::size_t n = 0;
+      for (const auto& ms : rt.memory_stats()) n += ms.arena_free_bytes;
+      return n;
+    };
+    std::size_t free_at_10 = 0;
+    for (int step = 1; step <= 40; ++step) {
+      rt.step();
+      if (step == 10) free_at_10 = sum_free();
+    }
+    std::size_t released = 0;
+    for (const auto& ms : rt.memory_stats()) released += ms.arena_released_bytes;
+    const std::string label = format("%s kfac=%d copy=%d", c.schedule,
+                                     c.kfac ? 1 : 0, c.copy_stashes ? 1 : 0);
+    EXPECT_GT(released, 0u) << label;
+    EXPECT_LE(sum_free(), free_at_10 + released)
+        << label << ": arena free list grew from " << free_at_10 << " to "
+        << sum_free() << " bytes over 30 steps";
+  }
+}
+
 // --- Handover order and realized event order ------------------------------
 
 TEST(PipelineRuntime, StageChannelHandoverOrderIsPinned) {
